@@ -80,14 +80,7 @@ from repro.engine import (
     SpatialJoin,
     Walkthrough,
 )
-from repro.durability import (
-    DurableEngine,
-    WriteAheadLog,
-    durable_sharded,
-    open_at_epoch,
-    recover_engine,
-    recover_sharded,
-)
+from repro.durability import DurableEngine, WriteAheadLog, recover_engine
 from repro.errors import (
     CatalogError,
     CheckpointMismatchError,
@@ -203,20 +196,17 @@ __all__ = [
     "branch_walk",
     "circuit_morphometry",
     "create",
-    "durable_sharded",
     "generate_circuit",
     "hilbert_bulk_load",
     "hilbert_shards",
     "load_circuit",
     "nested_loop_join",
     "open",
-    "open_at_epoch",
     "pbsm_join",
     "plane_sweep_join",
     "random_walk",
     "read_swc",
     "recover_engine",
-    "recover_sharded",
     "render_crawl",
     "render_density",
     "render_walk",

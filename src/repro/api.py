@@ -1,17 +1,16 @@
 """Front-door constructors: :func:`repro.create` and :func:`repro.open`.
 
-One constructor family replaces the four-way maze of ``SpatialEngine(...)``,
-``DurableEngine.create/open``, ``recover_sharded`` and ``durable_sharded``:
+These two calls are the only way to build or reopen an engine over a
+durability directory:
 
 * :func:`create` builds a **fresh** engine over a dataset — in memory when
   ``root`` is ``None``, durable (WAL + base checkpoint) when a directory is
   given, sharded when ``sharded=True``.
 * :func:`open` attaches to an **existing** durability directory — writable
   with the WAL reattached by default, read-only (optionally time-travelled
-  to ``at_epoch``) with ``durable=False``.
-
-The old entry points remain as thin shims that emit ``DeprecationWarning``
-and delegate here.
+  to ``at_epoch``) with ``durable=False``.  Single engines and sharded
+  services share one recovery path and one writable-open path
+  (:mod:`repro.durability.recovery`).
 
 >>> engine = repro.create(circuit.segments())                   # in-memory
 >>> durable = repro.create(circuit.segments(), "model_dir")     # + WAL
@@ -52,42 +51,48 @@ def create(
     the underlying engine (``page_capacity=...``, ``circuit=...``, the
     sharded service's pool knobs, ...).
     """
+    from repro.engine.engine import SpatialEngine
+    from repro.service.sharded import ShardedEngine
+
+    if num_shards is not None and not sharded:
+        raise DurabilityError("num_shards requires sharded=True")
+    if sharded and num_shards is None:
+        num_shards = 4
     if root is None:
         if wal_kwargs is not None:
             raise DurabilityError("wal_kwargs requires a durability root")
         if sharded:
-            from repro.service.sharded import ShardedEngine
-
-            return ShardedEngine(
-                objects,
-                num_shards=4 if num_shards is None else num_shards,
-                **engine_kwargs,
-            )
-        if num_shards is not None:
-            raise DurabilityError("num_shards requires sharded=True")
-        from repro.engine.engine import SpatialEngine
-
+            return ShardedEngine(objects, num_shards=num_shards, **engine_kwargs)
         return SpatialEngine(objects, **engine_kwargs)
 
+    from repro.durability.checkpoint import list_checkpoints
+    from repro.durability.engine import DurableEngine
+    from repro.durability.recovery import (
+        checkpoint_engine,
+        checkpoints_path,
+        wal_path,
+        write_checkpoint,
+    )
+    from repro.durability.wal import WriteAheadLog, read_wal
+
     root = Path(root)
-    if sharded:
-        from repro.durability.checkpoint import list_checkpoints
-        from repro.durability.recovery import _durable_sharded, checkpoints_path
-
-        if list_checkpoints(checkpoints_path(root)):
-            raise DurabilityError(f"{root} already holds checkpoints; use repro.open")
-        return _durable_sharded(
-            root,
-            objects,
-            num_shards=num_shards,
-            wal_kwargs=wal_kwargs,
-            **engine_kwargs,
+    if list_checkpoints(checkpoints_path(root)):
+        raise DurabilityError(f"{root} already holds checkpoints; use repro.open")
+    if read_wal(wal_path(root), decode=False).last_seq:
+        raise DurabilityError(
+            f"{root} holds WAL batches but no base checkpoint; the log cannot be "
+            "anchored — recover manually or start from a fresh directory"
         )
-    if num_shards is not None:
-        raise DurabilityError("num_shards requires sharded=True")
-    from repro.durability.engine import _create_durable
-
-    return _create_durable(root, objects, wal_kwargs=wal_kwargs, **engine_kwargs)
+    if sharded:
+        write_checkpoint(
+            checkpoints_path(root), objects, epoch=0, wal_seq=0, num_shards=num_shards
+        )
+        wal = WriteAheadLog(wal_path(root), **(wal_kwargs or {}))
+        return ShardedEngine(objects, num_shards=num_shards, wal=wal, **engine_kwargs)
+    engine = SpatialEngine(objects, **engine_kwargs)
+    wal = WriteAheadLog(wal_path(root), **(wal_kwargs or {}))
+    checkpoint_engine(root, engine, epoch=0, wal=wal)
+    return DurableEngine(engine, wal, root)
 
 
 def open(
@@ -116,48 +121,39 @@ def open(
     ``num_shards`` (sharded only) re-tiles the recovered dataset; the
     default keeps the checkpoint manifest's shard spec.
     """
+    from repro.durability.checkpoint import list_checkpoints
+    from repro.durability.engine import DurableEngine
+    from repro.durability.recovery import (
+        _open_for_writing,
+        _recover_service,
+        checkpoints_path,
+        recover_engine,
+    )
+
     root = Path(root)
-    if durable:
-        if at_epoch is not None:
-            if sharded:
-                raise DurabilityError(
-                    "at_epoch opens of a sharded service are read-only; "
-                    "use repro.open(root, sharded=True, durable=False, "
-                    f"at_epoch={at_epoch})"
-                )
-            # The single-engine path accepts at_epoch == durable tip (a
-            # no-op bound) and refuses anything older, inside _open_durable.
-        if sharded:
-            from repro.durability.checkpoint import list_checkpoints
-            from repro.durability.recovery import _durable_sharded, checkpoints_path
-
-            if not list_checkpoints(checkpoints_path(root)):
-                raise DurabilityError(f"{root} holds no checkpoints; use repro.create")
-            return _durable_sharded(
-                root,
-                None,
-                num_shards=num_shards,
-                wal_kwargs=wal_kwargs,
-                **engine_kwargs,
-            )
-        from repro.durability.engine import _open_durable
-
-        return _open_durable(
-            root, at_epoch=at_epoch, wal_kwargs=wal_kwargs, **engine_kwargs
+    if durable and sharded and at_epoch is not None:
+        raise DurabilityError(
+            "at_epoch opens of a sharded service are read-only; use "
+            f"repro.open(root, sharded=True, durable=False, at_epoch={at_epoch})"
         )
-
-    if wal_kwargs is not None:
+    if not durable and wal_kwargs is not None:
         raise DurabilityError("wal_kwargs requires durable=True")
-    from repro.durability.recovery import _recover_sharded, recover_engine
+    if not sharded and num_shards is not None:
+        raise DurabilityError("num_shards requires sharded=True")
+    if not list_checkpoints(checkpoints_path(root)):
+        raise DurabilityError(f"{root} holds no checkpoints; use repro.create")
 
+    def recover(epoch: int | None):
+        if sharded:
+            return _recover_service(root, epoch, num_shards, **engine_kwargs)
+        return recover_engine(root, epoch, **engine_kwargs)
+
+    if not durable:
+        recovery = recover(at_epoch)
+        recovery.engine.last_recovery = recovery
+        return recovery.engine
+    recovery, wal = _open_for_writing(root, at_epoch, recover, wal_kwargs)
     if sharded:
-        recovery = _recover_sharded(
-            root, at_epoch=at_epoch, num_shards=num_shards, **engine_kwargs
-        )
-    else:
-        if num_shards is not None:
-            raise DurabilityError("num_shards requires sharded=True")
-        recovery = recover_engine(root, at_epoch=at_epoch, **engine_kwargs)
-    engine = recovery.engine
-    engine.last_recovery = recovery
-    return engine
+        recovery.engine.wal = wal
+        return recovery.engine
+    return DurableEngine(recovery.engine, wal, root, epoch=recovery.epoch)

@@ -12,12 +12,13 @@ acknowledged mutation batch reconstructible:
 * :mod:`repro.durability.checkpoint` — epoch-stamped, Hilbert-packed
   snapshots of the object set, committed atomically by directory rename;
 * :mod:`repro.durability.recovery` — checkpoint + WAL-suffix replay back
-  to the exact pre-crash epoch (:func:`recover_engine`,
-  :func:`recover_sharded`), time-travel to any checkpointed epoch
-  (:func:`open_at_epoch`), and :func:`durable_sharded`, the create-or-
-  resume entry point for a journaling sharded service;
+  to the exact pre-crash epoch, or time-travelled to any epoch at or after
+  the oldest checkpoint, for a single engine and a sharded service alike;
 * :mod:`repro.durability.engine` — :class:`DurableEngine`, the
   log → apply → ack wrapper over one :class:`~repro.engine.SpatialEngine`.
+
+Build or reopen a durability directory through :func:`repro.create` and
+:func:`repro.open`; this package holds the pieces they are made of.
 
 Failures surface under one root: :class:`~repro.errors.DurabilityError`
 (with :class:`~repro.errors.WalCorruptionError` and
@@ -41,11 +42,8 @@ from repro.durability.recovery import (
     checkpoint_engine,
     checkpoint_sharded,
     checkpoints_path,
-    durable_sharded,
     durable_tip,
-    open_at_epoch,
     recover_engine,
-    recover_sharded,
     wal_path,
 )
 from repro.durability.wal import WalScan, WalStats, WriteAheadLog, read_wal
@@ -60,17 +58,14 @@ __all__ = [
     "checkpoint_engine",
     "checkpoint_sharded",
     "checkpoints_path",
-    "durable_sharded",
     "durable_tip",
     "latest_checkpoint",
     "latest_manifest",
     "list_checkpoints",
     "load_checkpoint",
-    "open_at_epoch",
     "read_manifest",
     "read_wal",
     "recover_engine",
-    "recover_sharded",
     "wal_path",
     "write_checkpoint",
 ]

@@ -340,7 +340,7 @@ def read_manifest(path: str | Path) -> CheckpointManifest:
     passes here while a full load rejects it.  Use it for guard checks
     that need a checkpoint's position, not its contents, and make the
     caller fail loudly if a later full load lands on a different
-    checkpoint (see ``DurableEngine.open``'s tip cross-check).
+    checkpoint (see the tip cross-check of a writable :func:`repro.open`).
     """
     manifest, _data = _validated_manifest(Path(path))
     return manifest

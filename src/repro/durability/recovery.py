@@ -13,30 +13,25 @@ A durability directory has one layout::
       wal/           wal-00000001.seg ...   (repro.durability.wal)
       checkpoints/   ckpt-0000000000/ ...   (repro.durability.checkpoint)
 
-:func:`recover_engine` / :func:`recover_sharded` rebuild a
-:class:`~repro.engine.SpatialEngine` / :class:`~repro.service.ShardedEngine`
-at the pre-crash epoch; :func:`open_at_epoch` time-travels to any epoch at
-or after the oldest checkpoint (reproducible reruns of an earlier model
-state); :func:`durable_sharded` is the one-call entry point that creates or
-resumes a durable sharded service.  Torn WAL tails and corrupt records are
-tolerated — recovery lands on the last *durable* batch instead of raising.
+Every recovery — a single :class:`~repro.engine.SpatialEngine`
+(:func:`recover_engine`) or a :class:`~repro.service.ShardedEngine`, at the
+pre-crash epoch or time-travelled to any epoch at or after the oldest
+checkpoint — runs through one function, and every writable reopen through
+one more that guards the durable tip before reattaching the WAL.  Both are
+reached through :func:`repro.open`.  Torn WAL tails and corrupt records
+are tolerated — recovery lands on the last *durable* batch instead of
+raising.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable
 
-from repro.durability.checkpoint import (
-    latest_checkpoint,
-    latest_manifest,
-    list_checkpoints,
-    write_checkpoint,
-)
-from repro.durability.wal import WalScan, WriteAheadLog, read_wal
+from repro.durability.checkpoint import latest_checkpoint, latest_manifest, write_checkpoint
+from repro.durability.wal import WriteAheadLog, read_wal
 from repro.engine.engine import SpatialEngine
 from repro.errors import DurabilityError
 from repro.objects import SpatialObject
@@ -47,11 +42,8 @@ __all__ = [
     "checkpoints_path",
     "durable_tip",
     "recover_engine",
-    "recover_sharded",
-    "open_at_epoch",
     "checkpoint_engine",
     "checkpoint_sharded",
-    "durable_sharded",
 ]
 
 
@@ -106,23 +98,59 @@ class Recovery:
         )
 
 
-def _replay(
-    engine: Any,
-    scan: WalScan,
-    after_seq: int,
-    stop_after_batches: int | None = None,
-) -> tuple[int, int, float]:
-    """Apply the WAL suffix through ``apply_many``; return replay counters."""
-    start = time.perf_counter()
-    batches = 0
-    mutations = 0
-    for _seq, batch in scan.suffix(after_seq):
-        if stop_after_batches is not None and batches >= stop_after_batches:
-            break
-        engine.apply_many(batch)
-        batches += 1
-        mutations += len(batch)
-    return batches, mutations, (time.perf_counter() - start) * 1000.0
+def _release(engine: Any) -> None:
+    """Shut down a recovered engine that will not be handed out (a service's pool)."""
+    close = getattr(engine, "close", None)
+    if close is not None:
+        close()
+
+
+def _recover(
+    root: str | Path,
+    at_epoch: int | None,
+    build: Callable[[list[SpatialObject], Any], Any],
+) -> Recovery:
+    """The one recovery path: newest valid checkpoint + WAL-suffix replay.
+
+    Loads the newest valid checkpoint at or below ``at_epoch`` (the newest
+    overall when ``at_epoch`` is ``None``), hands its objects and manifest
+    to ``build`` for the engine to replay into, and applies the durable WAL
+    suffix batch-by-batch through that engine's ``apply_many`` — stopping
+    at the pre-crash epoch, or at exactly ``at_epoch`` when one is given.
+    An unreachable ``at_epoch`` raises, and the half-built engine is shut
+    down first.
+    """
+    objects, manifest = latest_checkpoint(checkpoints_path(root), at_epoch=at_epoch)
+    scan = read_wal(wal_path(root), anchor_seq=manifest.wal_seq)
+    engine = build(objects, manifest)
+    try:
+        start = time.perf_counter()
+        epoch, mutations = manifest.epoch, 0
+        for _seq, batch in scan.suffix(manifest.wal_seq):
+            if epoch == at_epoch:
+                break
+            engine.apply_many(batch)
+            epoch += 1
+            mutations += len(batch)
+        replay_ms = (time.perf_counter() - start) * 1000.0
+        if at_epoch is not None and epoch != at_epoch:
+            raise DurabilityError(
+                f"cannot reach epoch {at_epoch}: checkpoint at epoch {manifest.epoch} "
+                f"plus the durable WAL only reaches epoch {epoch}"
+            )
+    except BaseException:
+        _release(engine)
+        raise
+    return Recovery(
+        engine=engine,
+        checkpoint_epoch=manifest.epoch,
+        checkpoint_wal_seq=manifest.wal_seq,
+        epoch=epoch,
+        batches_replayed=epoch - manifest.epoch,
+        mutations_replayed=mutations,
+        wal_truncated=scan.truncated,
+        replay_ms=replay_ms,
+    )
 
 
 def recover_engine(
@@ -137,151 +165,90 @@ def recover_engine(
     :meth:`SpatialEngine.apply_many`, and stops either at the pre-crash
     epoch or — when ``at_epoch`` is given — at exactly that epoch.
     """
-    objects, manifest = latest_checkpoint(checkpoints_path(root), at_epoch=at_epoch)
-    scan = read_wal(wal_path(root), anchor_seq=manifest.wal_seq)
-    engine = SpatialEngine(objects, **engine_kwargs)
-    budget = None if at_epoch is None else at_epoch - manifest.epoch
-    batches, mutations, replay_ms = _replay(engine, scan, manifest.wal_seq, budget)
-    epoch = manifest.epoch + batches
-    if at_epoch is not None and epoch != at_epoch:
-        raise DurabilityError(
-            f"cannot reach epoch {at_epoch}: checkpoint at epoch {manifest.epoch} "
-            f"plus the durable WAL only reaches epoch {epoch}"
-        )
-    return Recovery(
-        engine=engine,
-        checkpoint_epoch=manifest.epoch,
-        checkpoint_wal_seq=manifest.wal_seq,
-        epoch=epoch,
-        batches_replayed=batches,
-        mutations_replayed=mutations,
-        wal_truncated=scan.truncated,
-        replay_ms=replay_ms,
+    return _recover(
+        root, at_epoch, lambda objects, _manifest: SpatialEngine(objects, **engine_kwargs)
     )
 
 
-def recover_sharded(
+def _recover_service(
     root: str | Path,
     at_epoch: int | None = None,
     num_shards: int | None = None,
-    attach_wal: bool = False,
     **service_kwargs: Any,
 ) -> Recovery:
-    """Deprecated shim: use :func:`repro.open` with ``sharded=True``."""
-    warnings.warn(
-        "recover_sharded is deprecated; use repro.open(root, sharded=True, "
-        "durable=False)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _recover_sharded(
-        root,
-        at_epoch=at_epoch,
-        num_shards=num_shards,
-        attach_wal=attach_wal,
-        **service_kwargs,
-    )
+    """Rebuild a :class:`~repro.service.ShardedEngine` from a durability directory.
 
-
-def _recover_sharded(
-    root: str | Path,
-    at_epoch: int | None = None,
-    num_shards: int | None = None,
-    attach_wal: bool = False,
-    **service_kwargs: Any,
-) -> Recovery:
-    """Rebuild a :class:`~repro.service.ShardedEngine` at the pre-crash epoch.
-
-    The service starts from the checkpoint's epoch (its manifest also
+    The service starts at the checkpoint's epoch (its manifest also
     remembers the shard spec, used when ``num_shards`` is not given) and
-    replays each durable WAL batch as one published epoch — so the
-    recovered ``service.epoch`` equals the last durable pre-crash epoch
-    exactly.  ``attach_wal=True`` reopens the log for writing (repairing
-    any torn tail) and re-attaches it, so the recovered service keeps
-    journaling subsequent batches into the same directory.
+    publishes each replayed WAL batch as one epoch, so the recovered
+    ``service.epoch`` equals the recovered epoch exactly.
     """
     from repro.service.sharded import ShardedEngine
 
-    if attach_wal:
-        # Reattaching opens the WAL for writing, which runs destructive
-        # tail repair — guard first, before the worker pool even spins up:
-        # a time-travel recovery below the durable tip must stay read-only
-        # (appending from the past would fork the history), and repair must
-        # anchor at the NEWEST checkpoint, never the at_epoch-selected one,
-        # so covered mid-history damage is not mistaken for a torn tail.
-        wal_anchor, tip = durable_tip(root)
-        if at_epoch is not None and at_epoch < tip:
-            raise DurabilityError(
-                f"epoch {at_epoch} is before the durable tip {tip}; "
-                "time-travel recoveries cannot reattach the WAL — use "
-                f"repro.open(root, sharded=True, durable=False, at_epoch={at_epoch}) "
-                "(recover without attach_wal) for a read-only view"
-            )
-    objects, manifest = latest_checkpoint(checkpoints_path(root), at_epoch=at_epoch)
-    scan = read_wal(wal_path(root), anchor_seq=manifest.wal_seq)
-    if num_shards is None:
-        num_shards = manifest.num_shards if manifest.num_shards is not None else 1
-    service = ShardedEngine(
-        objects,
-        num_shards=num_shards,
-        initial_epoch=manifest.epoch,
-        **service_kwargs,
-    )
-    try:
-        budget = None if at_epoch is None else at_epoch - manifest.epoch
-        batches, mutations, replay_ms = _replay(service, scan, manifest.wal_seq, budget)
-        if at_epoch is not None and service.epoch != at_epoch:
-            raise DurabilityError(
-                f"cannot reach epoch {at_epoch}: checkpoint at epoch {manifest.epoch} "
-                f"plus the durable WAL only reaches epoch {service.epoch}"
-            )
-        if attach_wal:
-            if service.epoch != tip:
-                # The manifest-level tip and the object-level recovery
-                # disagree (see DurableEngine.open): appending here would
-                # misalign seq and epoch and orphan the batches between the
-                # recovered epoch and the tip.
-                raise DurabilityError(
-                    f"recovered epoch {service.epoch} does not reach the "
-                    f"durable tip {tip}: the newest checkpoint or the WAL "
-                    "suffix is damaged — use repro.open(root, sharded=True, "
-                    "durable=False) (recover without attach_wal) for a "
-                    "read-only view"
-                )
-            service.wal = WriteAheadLog(wal_path(root), anchor_seq=wal_anchor)
-    except BaseException:
-        service.close()  # don't leak the worker pool on a failed recovery
-        raise
-    return Recovery(
-        engine=service,
-        checkpoint_epoch=manifest.epoch,
-        checkpoint_wal_seq=manifest.wal_seq,
-        epoch=service.epoch,
-        batches_replayed=batches,
-        mutations_replayed=mutations,
-        wal_truncated=scan.truncated,
-        replay_ms=replay_ms,
-    )
+    def build(objects: list[SpatialObject], manifest: Any) -> ShardedEngine:
+        shards = num_shards
+        if shards is None:
+            shards = manifest.num_shards if manifest.num_shards is not None else 1
+        return ShardedEngine(
+            objects, num_shards=shards, initial_epoch=manifest.epoch, **service_kwargs
+        )
+
+    return _recover(root, at_epoch, build)
 
 
-def open_at_epoch(
+def _read_only_open(root: str | Path, at_epoch: int | None = None) -> str:
+    """The read-only ``repro.open`` call that fits this directory's kind."""
+    sharded = latest_manifest(checkpoints_path(root)).num_shards is not None
+    args = "root, sharded=True, durable=False" if sharded else "root, durable=False"
+    if at_epoch is not None:
+        args += f", at_epoch={at_epoch}"
+    return f"repro.open({args})"
+
+
+def _open_for_writing(
     root: str | Path,
-    epoch: int,
-    sharded: bool = False,
-    **kwargs: Any,
-) -> Recovery:
-    """Time-travel: rebuild the engine exactly as it was at ``epoch``.
+    at_epoch: int | None,
+    recover: Callable[[int | None], Recovery],
+    wal_kwargs: dict[str, Any] | None = None,
+) -> tuple[Recovery, WriteAheadLog]:
+    """The one writable open: recover to the durable tip, reattach the WAL.
 
-    Any epoch from the oldest checkpoint through the last durable batch is
-    reachable (the best checkpoint at or below it seeds the replay); asking
-    for anything else raises :class:`~repro.errors.DurabilityError`.  Use
-    it for reproducible reruns against an earlier model state.
+    Opening the WAL for writing runs destructive tail repair, so every
+    guard runs before it.  The tip is computed read-only first: a
+    time-travel open below it must stay read-only (appending from the past
+    would fork the history), and a refused open stays cheap — no
+    checkpoint load or replay happens just to be thrown away.  Then
+    ``recover(at_epoch)`` rebuilds the engine, which must land exactly on
+    the tip: :func:`durable_tip` validates checkpoints at manifest+CRC
+    level and recovery at object level, and if they disagree (a checkpoint
+    that reads but will not load, or damage blocking the replay from an
+    older fallback checkpoint) appending at the recovered epoch would
+    misalign seq and epoch and orphan the batches between it and the tip.
+    Finally the WAL reopens anchored at the *newest* checkpoint's
+    ``wal_seq`` — never the one recovery started from, whose anchor would
+    read covered mid-history damage as a torn tail and truncate
+    acknowledged batches.  Any refusal shuts the recovered engine down.
     """
-    if epoch < 0:
-        raise DurabilityError("epoch must be >= 0")
-    if sharded:
-        return _recover_sharded(root, at_epoch=epoch, **kwargs)
-    return recover_engine(root, at_epoch=epoch, **kwargs)
+    anchor, tip = durable_tip(root)
+    if at_epoch is not None and at_epoch < tip:
+        raise DurabilityError(
+            f"epoch {at_epoch} is before the durable tip {tip}; time-travel opens "
+            f"are read-only — use {_read_only_open(root, at_epoch)} instead"
+        )
+    recovery = recover(at_epoch)
+    try:
+        if recovery.epoch != tip:
+            raise DurabilityError(
+                f"recovered epoch {recovery.epoch} does not reach the durable tip "
+                f"{tip}: the newest checkpoint or the WAL suffix is damaged — the "
+                f"directory is still readable via {_read_only_open(root)}, but "
+                "opening it for writing would fork the history"
+            )
+        wal = WriteAheadLog(wal_path(root), **{"anchor_seq": anchor, **(wal_kwargs or {})})
+    except BaseException:
+        _release(recovery.engine)
+        raise
+    return recovery, wal
 
 
 def checkpoint_engine(
@@ -332,84 +299,3 @@ def checkpoint_sharded(root: str | Path, service: Any) -> Path:
         wal_seq=wal_seq,
         num_shards=service.num_shards,
     )
-
-
-def durable_sharded(
-    root: str | Path,
-    objects: Sequence[SpatialObject] | None = None,
-    num_shards: int | None = None,
-    wal_kwargs: dict[str, Any] | None = None,
-    **service_kwargs: Any,
-) -> Any:
-    """Deprecated shim: use :func:`repro.create` / :func:`repro.open`."""
-    warnings.warn(
-        "durable_sharded is deprecated; use repro.create(objects, root, "
-        "sharded=True) for a fresh directory or repro.open(root, sharded=True) "
-        "to resume one",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _durable_sharded(
-        root,
-        objects,
-        num_shards=num_shards,
-        wal_kwargs=wal_kwargs,
-        **service_kwargs,
-    )
-
-
-def _durable_sharded(
-    root: str | Path,
-    objects: Sequence[SpatialObject] | None = None,
-    num_shards: int | None = None,
-    wal_kwargs: dict[str, Any] | None = None,
-    **service_kwargs: Any,
-) -> Any:
-    """Create *or resume* a durable sharded service over ``root``.
-
-    Fresh directory: requires ``objects``, writes the epoch-0 base
-    checkpoint, opens the WAL, and returns a
-    :class:`~repro.service.ShardedEngine` that journals every mutation
-    batch before publishing it (``num_shards`` defaults to 4).  Existing
-    directory: ignores ``objects`` and recovers to the pre-crash epoch
-    with the WAL re-attached — the restart path is the same call as the
-    first boot.  On resume an explicit ``num_shards`` re-tiles the
-    recovered dataset (checkpoints are portable across shard counts);
-    leaving it ``None`` keeps the checkpoint manifest's spec.
-    """
-    from repro.service.sharded import ShardedEngine
-
-    root = Path(root)
-    wal_kwargs = dict(wal_kwargs or {})
-    if list_checkpoints(checkpoints_path(root)):
-        recovery = _recover_sharded(
-            root, num_shards=num_shards, attach_wal=False, **service_kwargs
-        )
-        service = recovery.engine
-        wal_kwargs.setdefault("anchor_seq", recovery.checkpoint_wal_seq)
-        try:
-            service.wal = WriteAheadLog(wal_path(root), **wal_kwargs)
-        except BaseException:
-            service.close()  # guard fired after the pool spun up — no leak
-            raise
-        return service
-    if read_wal(wal_path(root)).batches:
-        raise DurabilityError(
-            f"{root} holds WAL batches but no base checkpoint; the log cannot "
-            "be anchored — recover manually or start from a fresh directory"
-        )
-    if not objects:
-        raise DurabilityError(
-            f"{root} holds no durable state yet; pass the initial objects"
-        )
-    if num_shards is None:
-        num_shards = 4
-    write_checkpoint(
-        checkpoints_path(root),
-        objects,
-        epoch=0,
-        wal_seq=0,
-        num_shards=num_shards,
-    )
-    wal = WriteAheadLog(wal_path(root), **wal_kwargs)
-    return ShardedEngine(objects, num_shards=num_shards, wal=wal, **service_kwargs)

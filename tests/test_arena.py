@@ -9,8 +9,8 @@ these tests pin the redesign's contracts:
   through a warm buffer pool,
 * the v2 binary columnar checkpoint round-trips, coexists with v1 JSON
   checkpoints in one directory, and falls back across formats on damage,
-* ``repro.create`` / ``repro.open`` subsume the old constructors, which
-  survive only as ``DeprecationWarning`` shims.
+* ``repro.create`` / ``repro.open`` are the only way to build or reopen
+  a durability directory, and raise no ``DeprecationWarning``.
 """
 
 from __future__ import annotations
@@ -378,27 +378,7 @@ class TestFrontDoorAPI:
 
 
 class TestDeprecatedShims:
-    def test_durable_engine_classmethods_warn_but_work(self, tmp_path):
-        root = tmp_path / "d"
-        with pytest.warns(DeprecationWarning, match="repro.create"):
-            durable = repro.DurableEngine.create(root, grid_boxes(2))
-        durable.close()
-        with pytest.warns(DeprecationWarning, match="repro.open"):
-            reopened = repro.DurableEngine.open(root)
-        assert reopened.epoch == 0
-        reopened.close()
-
-    def test_sharded_helpers_warn_but_work(self, tmp_path):
-        root = tmp_path / "svc"
-        with pytest.warns(DeprecationWarning, match="repro.create"):
-            service = repro.durable_sharded(root, grid_boxes(2), num_shards=2)
-        service.close()
-        with pytest.warns(DeprecationWarning, match="repro.open"):
-            recovery = repro.recover_sharded(root)
-        try:
-            assert recovery.epoch == 0
-        finally:
-            recovery.engine.close()
+    """The old entry points are gone; the front door must not warn."""
 
     def test_front_door_is_warning_free(self, tmp_path, recwarn):
         import warnings

@@ -518,13 +518,6 @@ class TestShardedAtEpochGuards:
             repro.DurabilityError, match="sharded=True, durable=False"
         ):
             repro.open(root, at_epoch=0)
-        # Path 3: the recovery-level attach_wal guard.
-        from repro.durability.recovery import _recover_sharded
-
-        with pytest.raises(
-            repro.DurabilityError, match="sharded=True, durable=False"
-        ):
-            _recover_sharded(root, at_epoch=0, attach_wal=True)
 
     def test_the_named_escape_hatch_works(self, tmp_path):
         root = self._sharded_root(tmp_path)

@@ -96,14 +96,14 @@ class TestRecoverCommand:
         assert not args.no_verify
 
     def _durable_dir(self, tmp_path):
-        from repro.durability import DurableEngine
+        import repro
         from repro.engine.mutations import Insert
         from repro.geometry.aabb import AABB
         from repro.objects import BoxObject
         from tests.conftest import grid_boxes
 
         root = tmp_path / "model"
-        durable = DurableEngine.create(root, grid_boxes(3))
+        durable = repro.create(grid_boxes(3), root)
         durable.apply_many(
             [Insert(BoxObject(uid=1000, box=AABB(0, 0, 0, 1, 1, 1)))]
         )
@@ -119,7 +119,7 @@ class TestRecoverCommand:
         assert "1 WAL batches" in out
         assert "exact" in out
 
-    def test_recover_sharded_mode(self, capsys, tmp_path):
+    def test_recover_with_sharded_flag(self, capsys, tmp_path):
         root = self._durable_dir(tmp_path)
         code = main(["recover", str(root), "--sharded", "--shards", "2", "--extent", "10"])
         assert code == 0

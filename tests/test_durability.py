@@ -16,20 +16,17 @@ import threading
 
 import pytest
 
+import repro
 from repro import kernels
 from repro.durability import (
-    DurableEngine,
     WriteAheadLog,
     checkpoint_sharded,
     checkpoints_path,
-    durable_sharded,
     latest_checkpoint,
     list_checkpoints,
     load_checkpoint,
-    open_at_epoch,
     read_wal,
     recover_engine,
-    recover_sharded,
     wal_path,
     write_checkpoint,
 )
@@ -384,9 +381,8 @@ class TestCheckpointAnchoredDamage:
         durable tip instead of quietly dropping back to the checkpoint."""
         script = MutationScript(seed=91, n_objects=30)
         root = tmp_path / "d"
-        durable = DurableEngine.create(
-            root, script.initial_objects(), page_capacity=12,
-            wal_kwargs={"segment_bytes": 600},
+        durable = repro.create(
+            script.initial_objects(), root, page_capacity=12, wal_kwargs={"segment_bytes": 600}
         )
         for _ in range(3):
             durable.apply_many(script.next_batch(4))
@@ -404,7 +400,7 @@ class TestCheckpointAnchoredDamage:
         assert not recovery.wal_truncated
         assert sorted(o.uid for o in recovery.engine.objects) == sorted(script.model)
         # Reopening for writing must not destroy it either.
-        reopened = DurableEngine.open(root, page_capacity=12)
+        reopened = repro.open(root, page_capacity=12)
         assert reopened.epoch == 6
         reopened.close()
 
@@ -574,7 +570,7 @@ class TestCheckpoint:
 # -- the durable single engine -------------------------------------------------
 class TestDurableEngine:
     def test_log_apply_ack_ordering(self, tmp_path):
-        durable = DurableEngine.create(tmp_path / "d", grid_boxes(3))
+        durable = repro.create(grid_boxes(3), tmp_path / "d")
         result = durable.apply_many(sample_mutations(6))
         # By ack time the batch is durable (default flush_batches=1) ...
         assert durable.wal.last_durable_seq == 1
@@ -586,12 +582,12 @@ class TestDurableEngine:
 
     def test_crash_and_open_is_epoch_exact(self, tmp_path):
         script = MutationScript(seed=31)
-        durable = DurableEngine.create(tmp_path / "d", script.initial_objects())
+        durable = repro.create(script.initial_objects(), tmp_path / "d")
         for _ in range(4):
             durable.apply_many(script.next_batch(5))
         before = sorted(o.uid for o in durable.objects)
         # No close(): the process "dies" here.
-        recovered = DurableEngine.open(tmp_path / "d")
+        recovered = repro.open(tmp_path / "d")
         assert recovered.epoch == 4
         assert sorted(o.uid for o in recovered.objects) == before
         assert {o.uid: o for o in recovered.objects} == {
@@ -601,7 +597,7 @@ class TestDurableEngine:
 
     def test_checkpoint_bounds_the_replay(self, tmp_path):
         script = MutationScript(seed=32)
-        durable = DurableEngine.create(tmp_path / "d", script.initial_objects())
+        durable = repro.create(script.initial_objects(), tmp_path / "d")
         for _ in range(3):
             durable.apply_many(script.next_batch(4))
         durable.checkpoint()
@@ -614,24 +610,24 @@ class TestDurableEngine:
         assert sorted(o.uid for o in recovery.engine.objects) == sorted(script.model)
 
     def test_create_refuses_a_dirty_directory(self, tmp_path):
-        durable = DurableEngine.create(tmp_path / "d", grid_boxes(3))
+        durable = repro.create(grid_boxes(3), tmp_path / "d")
         durable.apply_many(sample_mutations(3))
         durable.close()
         with pytest.raises(DurabilityError):
-            DurableEngine.create(tmp_path / "d", grid_boxes(3))
+            repro.create(grid_boxes(3), tmp_path / "d")
 
     def test_create_refuses_a_checkpointed_directory_even_without_wal_batches(
         self, tmp_path
     ):
-        durable = DurableEngine.create(tmp_path / "d", grid_boxes(3))
+        durable = repro.create(grid_boxes(3), tmp_path / "d")
         durable.close()  # no batches ever appended; WAL is empty
         with pytest.raises(DurabilityError):
-            DurableEngine.create(tmp_path / "d", grid_boxes(2))
+            repro.create(grid_boxes(2), tmp_path / "d")
 
     def test_invalid_batch_is_rejected_before_it_reaches_the_log(self, tmp_path):
         """A batch the engine would refuse must never become durable: a
         logged-but-unreplayable record would poison every later recovery."""
-        durable = DurableEngine.create(tmp_path / "d", grid_boxes(3))
+        durable = repro.create(grid_boxes(3), tmp_path / "d")
         good = Insert(BoxObject(uid=500, box=AABB(0, 0, 0, 1, 1, 1)))
         with pytest.raises(EngineError):
             durable.apply_many([good, Delete(999_999)])  # unknown uid
@@ -648,13 +644,15 @@ class TestDurableEngine:
 
     def test_time_travel_open_is_read_only(self, tmp_path):
         script = MutationScript(seed=33)
-        durable = DurableEngine.create(tmp_path / "d", script.initial_objects())
+        durable = repro.create(script.initial_objects(), tmp_path / "d")
         for _ in range(3):
             durable.apply_many(script.next_batch(3))
         durable.close()
         with pytest.raises(DurabilityError):
-            DurableEngine.open(tmp_path / "d", at_epoch=1)
-        recovery = open_at_epoch(tmp_path / "d", 3)  # the tip itself is fine
+            repro.open(tmp_path / "d", at_epoch=1)
+        recovery = repro.open(
+            tmp_path / "d", durable=False, at_epoch=3
+        ).last_recovery  # the tip itself is fine
         assert recovery.epoch == 3
 
     def test_failed_time_travel_open_is_truly_read_only(self, tmp_path):
@@ -665,7 +663,7 @@ class TestDurableEngine:
         and permanently destroy acknowledged epochs 9-12."""
         script = MutationScript(seed=81, n_objects=30)
         root = tmp_path / "d"
-        durable = DurableEngine.create(root, script.initial_objects(), page_capacity=12)
+        durable = repro.create(script.initial_objects(), root, page_capacity=12)
         for _ in range(8):
             durable.apply_many(script.next_batch(3))
         durable.checkpoint()  # epoch 8 folds seqs 1-8 in
@@ -675,13 +673,13 @@ class TestDurableEngine:
         flip_payload_bit(wal_path(root), target_seq=5)
         assert recover_engine(root, page_capacity=12).epoch == 12
         with pytest.raises(DurabilityError):
-            DurableEngine.open(root, at_epoch=3, page_capacity=12)
+            repro.open(root, at_epoch=3, page_capacity=12)
         # The refused open changed nothing on disk: every acknowledged
         # epoch is still reachable, read-only and for writing.
         recovery = recover_engine(root, page_capacity=12)
         assert recovery.epoch == 12
         assert sorted(o.uid for o in recovery.engine.objects) == sorted(script.model)
-        reopened = DurableEngine.open(root, page_capacity=12)
+        reopened = repro.open(root, page_capacity=12)
         assert reopened.epoch == 12
         reopened.close()
 
@@ -690,9 +688,9 @@ class TestDurableEngine:
         buffered: last_durable_epoch reports the durable frontier and
         flush() closes the window."""
         script = MutationScript(seed=82, n_objects=24)
-        durable = DurableEngine.create(
-            tmp_path / "d",
+        durable = repro.create(
             script.initial_objects(),
+            tmp_path / "d",
             page_capacity=12,
             wal_kwargs={"flush_batches": 3},
         )
@@ -715,13 +713,13 @@ class TestDurableEngine:
         and every future recovery would silently drop the acked epoch."""
         script = MutationScript(seed=83, n_objects=24)
         root = tmp_path / "d"
-        durable = DurableEngine.create(root, script.initial_objects(), page_capacity=12)
+        durable = repro.create(script.initial_objects(), root, page_capacity=12)
         for _ in range(8):
             durable.apply_many(script.next_batch(3))
         durable.checkpoint()  # epoch 8 folds seqs 1-8 in
         durable.close()
         flip_payload_bit(wal_path(root), target_seq=8)  # covered, at the tail
-        reopened = DurableEngine.open(root, page_capacity=12)
+        reopened = repro.open(root, page_capacity=12)
         assert reopened.epoch == 8
         reopened.apply_many(script.next_batch(3))  # acknowledged epoch 9
         assert reopened.epoch == 9
@@ -740,7 +738,7 @@ class TestDurableEngine:
         misalign seq and epoch — it must fail loudly instead."""
         script = MutationScript(seed=84, n_objects=24)
         root = tmp_path / "d"
-        durable = DurableEngine.create(root, script.initial_objects(), page_capacity=12)
+        durable = repro.create(script.initial_objects(), root, page_capacity=12)
         for _ in range(8):
             durable.apply_many(script.next_batch(3))
         durable.checkpoint()  # epoch 8
@@ -762,14 +760,14 @@ class TestDurableEngine:
         assert recovery.wal_truncated
         # Opening for writing at that diverged epoch must refuse.
         with pytest.raises(DurabilityError, match="durable tip"):
-            DurableEngine.open(root, page_capacity=12)
+            repro.open(root, page_capacity=12)
 
 
 # -- time travel ---------------------------------------------------------------
 class TestTimeTravel:
     def test_every_epoch_between_checkpoint_and_tip_is_reachable(self, tmp_path):
         script = MutationScript(seed=40)
-        durable = DurableEngine.create(tmp_path / "d", script.initial_objects())
+        durable = repro.create(script.initial_objects(), tmp_path / "d")
         snapshots = {0: sorted(script.model)}
         for epoch in range(1, 6):
             durable.apply_many(script.next_batch(4))
@@ -778,31 +776,31 @@ class TestTimeTravel:
                 durable.checkpoint()
         durable.close()
         for epoch, expected_uids in snapshots.items():
-            recovery = open_at_epoch(tmp_path / "d", epoch)
+            recovery = repro.open(tmp_path / "d", durable=False, at_epoch=epoch).last_recovery
             assert recovery.epoch == epoch, f"epoch {epoch}"
             assert sorted(o.uid for o in recovery.engine.objects) == expected_uids
 
     def test_unreachable_epoch_raises(self, tmp_path):
-        durable = DurableEngine.create(tmp_path / "d", grid_boxes(3))
+        durable = repro.create(grid_boxes(3), tmp_path / "d")
         durable.apply_many(sample_mutations(3))
         durable.close()
         with pytest.raises(DurabilityError):
-            open_at_epoch(tmp_path / "d", 7)
+            repro.open(tmp_path / "d", durable=False, at_epoch=7)
         with pytest.raises(DurabilityError):
-            open_at_epoch(tmp_path / "d", -1)
+            repro.open(tmp_path / "d", durable=False, at_epoch=-1)
 
     def test_sharded_time_travel(self, tmp_path):
         script = MutationScript(seed=41)
-        service = durable_sharded(
-            tmp_path / "d", script.initial_objects(), num_shards=2
-        )
+        service = repro.create(script.initial_objects(), tmp_path / "d", sharded=True, num_shards=2)
         snapshots = {0: sorted(script.model)}
         for epoch in range(1, 4):
             service.apply_many(script.next_batch(4))
             snapshots[epoch] = sorted(script.model)
         service.close()
         for epoch, expected_uids in snapshots.items():
-            recovery = open_at_epoch(tmp_path / "d", epoch, sharded=True)
+            recovery = repro.open(
+                tmp_path / "d", sharded=True, durable=False, at_epoch=epoch
+            ).last_recovery
             assert recovery.engine.epoch == epoch
             assert sorted(o.uid for o in recovery.engine.objects) == expected_uids
             recovery.engine.close()
@@ -851,8 +849,12 @@ class TestKillAndRecover:
                 root = tmp_path / f"run{run}"
                 from repro.service import ShardedEngine
 
-                service = durable_sharded(
-                    root, script.initial_objects(), num_shards=shards, page_capacity=12
+                service = repro.create(
+                    script.initial_objects(),
+                    root,
+                    sharded=True,
+                    num_shards=shards,
+                    page_capacity=12,
                 )
                 # The never-crashed oracle applies the identical batch stream.
                 oracle = ShardedEngine(
@@ -868,7 +870,9 @@ class TestKillAndRecover:
                     # SIGKILL stand-in: abandon the service object without
                     # close(); only what the WAL flushed survives (default
                     # policy flushes every batch).
-                    recovery = recover_sharded(root, page_capacity=12)
+                    recovery = repro.open(
+                        root, sharded=True, durable=False, page_capacity=12
+                    ).last_recovery
                     recovered = recovery.engine
                     label = f"seed={seed} shards={shards} batches={n_batches}"
                     assert recovered.epoch == n_batches, label
@@ -887,8 +891,8 @@ class TestKillAndRecover:
                 seed = derive_seed(2013, "torn", backend, run)
                 script = MutationScript(seed=seed, n_objects=30)
                 root = tmp_path / f"run{run}"
-                service = durable_sharded(
-                    root, script.initial_objects(), num_shards=2, page_capacity=12
+                service = repro.create(
+                    script.initial_objects(), root, sharded=True, num_shards=2, page_capacity=12
                 )
                 durable_batches = 2 + run % 2
                 for _ in range(durable_batches):
@@ -900,7 +904,9 @@ class TestKillAndRecover:
                 # last epoch is no longer durable.
                 segment = last_segment(root)
                 segment.write_bytes(segment.read_bytes()[:-11])
-                recovery = recover_sharded(root, page_capacity=12)
+                recovery = repro.open(
+                    root, sharded=True, durable=False, page_capacity=12
+                ).last_recovery
                 assert recovery.wal_truncated
                 assert recovery.epoch == durable_batches
                 assert sorted(o.uid for o in recovery.engine.objects) == sorted(
@@ -920,9 +926,7 @@ class TestRecoveredEngineDifferential:
             seed = derive_seed(2013, "engine-diff", backend)
             script = MutationScript(seed=seed, n_objects=48)
             oracle = SpatialEngine.from_objects(script.initial_objects(), page_capacity=12)
-            durable = DurableEngine.create(
-                tmp_path / "d", script.initial_objects(), page_capacity=12
-            )
+            durable = repro.create(script.initial_objects(), tmp_path / "d", page_capacity=12)
             for _ in range(5):
                 batch = script.next_batch(5)
                 durable.apply_many(batch)
@@ -970,7 +974,7 @@ class TestRecoveredEngineDifferential:
 # -- the sharded service journals through its WAL hook -------------------------
 class TestShardedWalHook:
     def test_batch_is_durable_before_the_epoch_publishes(self, tmp_path):
-        service = durable_sharded(tmp_path / "d", grid_boxes(3), num_shards=2)
+        service = repro.create(grid_boxes(3), tmp_path / "d", sharded=True, num_shards=2)
         try:
             result = service.apply_many(sample_mutations(4))
             assert result.stats.epoch == 1
@@ -980,7 +984,7 @@ class TestShardedWalHook:
             service.close()
 
     def test_invalid_batches_never_reach_the_log(self, tmp_path):
-        service = durable_sharded(tmp_path / "d", grid_boxes(3), num_shards=2)
+        service = repro.create(grid_boxes(3), tmp_path / "d", sharded=True, num_shards=2)
         try:
             from repro.errors import ServiceError
 
@@ -992,7 +996,7 @@ class TestShardedWalHook:
             service.close()
 
     def test_empty_batch_is_a_noop_not_an_epoch(self, tmp_path):
-        service = durable_sharded(tmp_path / "d", grid_boxes(3), num_shards=2)
+        service = repro.create(grid_boxes(3), tmp_path / "d", sharded=True, num_shards=2)
         try:
             result = service.apply_many([])
             assert result.stats.epoch == service.epoch == 0
@@ -1002,8 +1006,8 @@ class TestShardedWalHook:
 
     def test_checkpoint_sharded_bounds_replay(self, tmp_path):
         script = MutationScript(seed=55, n_objects=30)
-        service = durable_sharded(
-            tmp_path / "d", script.initial_objects(), num_shards=2, page_capacity=12
+        service = repro.create(
+            script.initial_objects(), tmp_path / "d", sharded=True, num_shards=2, page_capacity=12
         )
         try:
             for _ in range(3):
@@ -1012,7 +1016,9 @@ class TestShardedWalHook:
             service.apply_many(script.next_batch(3))
         finally:
             service.close()
-        recovery = recover_sharded(tmp_path / "d", page_capacity=12)
+        recovery = repro.open(
+            tmp_path / "d", sharded=True, durable=False, page_capacity=12
+        ).last_recovery
         assert recovery.checkpoint_epoch == 3
         assert recovery.batches_replayed == 1
         assert recovery.epoch == 4
@@ -1020,12 +1026,12 @@ class TestShardedWalHook:
 
     def test_resume_continues_epochs_and_wal(self, tmp_path):
         script = MutationScript(seed=56, n_objects=30)
-        service = durable_sharded(
-            tmp_path / "d", script.initial_objects(), num_shards=2, page_capacity=12
+        service = repro.create(
+            script.initial_objects(), tmp_path / "d", sharded=True, num_shards=2, page_capacity=12
         )
         service.apply_many(script.next_batch(3))
         service.close()
-        resumed = durable_sharded(tmp_path / "d", page_capacity=12)
+        resumed = repro.open(tmp_path / "d", sharded=True, page_capacity=12)
         try:
             assert resumed.epoch == 1
             resumed.apply_many(script.next_batch(3))
@@ -1043,17 +1049,21 @@ class TestShardedWalHook:
         still record the epoch == seq position, not seq 0 — otherwise the
         next recovery replays the whole log on top of folded-in state."""
         script = MutationScript(seed=57, n_objects=30)
-        service = durable_sharded(
-            tmp_path / "d", script.initial_objects(), num_shards=2, page_capacity=12
+        service = repro.create(
+            script.initial_objects(), tmp_path / "d", sharded=True, num_shards=2, page_capacity=12
         )
         for _ in range(2):
             service.apply_many(script.next_batch(3))
         service.close()
-        recovery = recover_sharded(tmp_path / "d", page_capacity=12)
+        recovery = repro.open(
+            tmp_path / "d", sharded=True, durable=False, page_capacity=12
+        ).last_recovery
         assert recovery.engine.wal is None
         checkpoint_sharded(tmp_path / "d", recovery.engine)
         recovery.engine.close()
-        again = recover_sharded(tmp_path / "d", page_capacity=12)
+        again = repro.open(
+            tmp_path / "d", sharded=True, durable=False, page_capacity=12
+        ).last_recovery
         assert again.checkpoint_epoch == 2
         assert again.batches_replayed == 0  # nothing replays twice
         assert again.epoch == 2
@@ -1062,12 +1072,12 @@ class TestShardedWalHook:
 
     def test_resume_with_explicit_shard_count_retiles(self, tmp_path):
         script = MutationScript(seed=58, n_objects=30)
-        service = durable_sharded(
-            tmp_path / "d", script.initial_objects(), num_shards=2, page_capacity=12
+        service = repro.create(
+            script.initial_objects(), tmp_path / "d", sharded=True, num_shards=2, page_capacity=12
         )
         service.apply_many(script.next_batch(3))
         service.close()
-        resumed = durable_sharded(tmp_path / "d", num_shards=3, page_capacity=12)
+        resumed = repro.open(tmp_path / "d", sharded=True, num_shards=3, page_capacity=12)
         try:
             assert resumed.num_shards == 3  # explicit count wins on resume
             assert resumed.epoch == 1
@@ -1075,35 +1085,73 @@ class TestShardedWalHook:
             resumed.close()
 
     def test_time_travel_cannot_reattach_the_wal(self, tmp_path):
-        """attach_wal opens the log for writing (destructive tail repair);
-        a recovery below the durable tip must refuse it and leave every
-        durable epoch intact."""
+        """A writable open runs destructive tail repair on the WAL; an open
+        below the durable tip must refuse it and leave every durable epoch
+        intact."""
         script = MutationScript(seed=59, n_objects=30)
-        service = durable_sharded(
-            tmp_path / "d", script.initial_objects(), num_shards=2, page_capacity=12
+        service = repro.create(
+            script.initial_objects(), tmp_path / "d", sharded=True, num_shards=2, page_capacity=12
         )
         for _ in range(3):
             service.apply_many(script.next_batch(3))
         service.close()
         with pytest.raises(DurabilityError):
-            recover_sharded(tmp_path / "d", at_epoch=1, attach_wal=True, page_capacity=12)
+            repro.open(tmp_path / "d", sharded=True, at_epoch=1, page_capacity=12)
         # Read-only time travel still works, and the tip is unharmed.
-        past = recover_sharded(tmp_path / "d", at_epoch=1, page_capacity=12)
+        past = repro.open(
+            tmp_path / "d", sharded=True, durable=False, at_epoch=1, page_capacity=12
+        ).last_recovery
         assert past.epoch == 1
         past.engine.close()
-        tip = recover_sharded(tmp_path / "d", page_capacity=12)
+        tip = repro.open(
+            tmp_path / "d", sharded=True, durable=False, page_capacity=12
+        ).last_recovery
         assert tip.epoch == 3
         tip.engine.close()
+
+    def test_open_refuses_when_recovery_cannot_reach_the_tip(self, tmp_path):
+        """The sharded twin of the single-engine tip guard: the newest
+        checkpoint passes manifest-level validation but fails the object
+        count, recovery falls back to epoch 0 and stops at the covered
+        damage at seq 5.  Opening for writing must refuse — not reattach
+        the WAL at the fallback checkpoint's anchor, whose tail repair
+        would cut acknowledged epochs 5-12 — and must not leak the pool."""
+        script = MutationScript(seed=84, n_objects=24)
+        root = tmp_path / "d"
+        service = repro.create(
+            script.initial_objects(), root, sharded=True, num_shards=2, page_capacity=12
+        )
+        for _ in range(8):
+            service.apply_many(script.next_batch(3))
+        checkpoint_sharded(root, service)  # epoch 8
+        for _ in range(4):
+            service.apply_many(script.next_batch(3))
+        service.close()  # durable tip: epoch 12
+        flip_payload_bit(wal_path(root), target_seq=5)
+        manifest_path = checkpoints_path(root) / "ckpt-0000000008" / "manifest.json"
+        record = json.loads(manifest_path.read_text(encoding="utf-8"))
+        record["num_objects"] += 1
+        manifest_path.write_text(json.dumps(record), encoding="utf-8")
+        before = {t.name for t in threading.enumerate()}
+        with pytest.raises(DurabilityError, match="durable tip"):
+            repro.open(root, sharded=True, page_capacity=12)
+        lingering = {
+            t.name for t in threading.enumerate() if t.name.startswith("repro-shard")
+        } - before
+        assert not lingering
+        # The refusal truncated nothing: every acknowledged epoch is still
+        # in the log, readable under the newest checkpoint's anchor.
+        assert read_wal(wal_path(root), anchor_seq=8, decode=False).last_seq == 12
 
     def test_failed_time_travel_does_not_leak_a_worker_pool(self, tmp_path):
         import threading
 
-        service = durable_sharded(tmp_path / "d", grid_boxes(3), num_shards=2)
+        service = repro.create(grid_boxes(3), tmp_path / "d", sharded=True, num_shards=2)
         service.apply_many(sample_mutations(3))
         service.close()
         before = {t.name for t in threading.enumerate()}
         with pytest.raises(DurabilityError):
-            open_at_epoch(tmp_path / "d", 99, sharded=True)
+            repro.open(tmp_path / "d", sharded=True, durable=False, at_epoch=99)
         lingering = {
             t.name
             for t in threading.enumerate()
@@ -1112,7 +1160,7 @@ class TestShardedWalHook:
         assert not lingering
 
     def test_checkpoints_layout_under_root(self, tmp_path):
-        service = durable_sharded(tmp_path / "d", grid_boxes(3), num_shards=2)
+        service = repro.create(grid_boxes(3), tmp_path / "d", sharded=True, num_shards=2)
         service.close()
         assert wal_path(tmp_path / "d").is_dir()
         assert [epoch for epoch, _ in list_checkpoints(checkpoints_path(tmp_path / "d"))] == [0]

@@ -49,8 +49,6 @@ BATCH_SIZE = 8
 WORLD = 60.0
 N_OBJECTS = 96
 
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
-
 
 # -- the independent oracle ----------------------------------------------------
 def point_box_distance(box: AABB, point) -> float:

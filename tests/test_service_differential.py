@@ -30,8 +30,6 @@ BACKENDS = kernels.available_backends()
 SHARD_COUNTS = (1, 2, 4, 7)
 EXECUTORS = ("thread", "process")
 
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
-
 
 @pytest.fixture(scope="module")
 def circuit():

@@ -40,8 +40,6 @@ N_OBJECTS = 80
 WORLD = 50.0
 SEED = 20260731
 
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
-
 
 def random_object(uid: int, rng) -> BoxObject:
     center = tuple(float(v) for v in rng.uniform(0.0, WORLD, size=3))
